@@ -171,7 +171,7 @@ let run_fig5c params =
                rdense = false;
              }))
   in
-  let cache : L.Executor.trie_cache = Hashtbl.create 16 in
+  let cache : L.Executor.trie_cache = L.Vcache.create () in
   let budget =
     Lh_util.Budget.create ~max_live_words:params.C.mem_words ~max_seconds:params.C.timeout ()
   in

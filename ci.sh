@@ -76,6 +76,11 @@ if [ "$durable_out1" != "$durable_want1" ] || [ "$durable_out2" != "$durable_wan
   exit 1
 fi
 echo "lhserve durable restart smoke ok"
+# Repository benchmark self-test: runs bi, la and ingest at tiny sizes
+# through Lh_serve and checks every answer (and that a perturbed
+# reference is caught). Building it also pins the Engine/Dict surface
+# lhbench calls.
+bash lhbench/run.sh --self-test
 # Differential fuzzing leg: a pinned seed so CI is deterministic; raise
 # LH_FUZZ_COUNT locally for a longer hunt. Exits non-zero on any
 # discrepancy between the engine configurations, the pairwise baselines

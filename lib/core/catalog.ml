@@ -11,6 +11,7 @@ let register t table =
          table.Lh_storage.Table.name);
   Hashtbl.replace t.tables table.Lh_storage.Table.name table
 
+let remove t name = Hashtbl.remove t.tables name
 let find t name = Hashtbl.find_opt t.tables name
 
 let find_exn t name =
@@ -20,8 +21,3 @@ let find_exn t name =
 
 let names t = Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [] |> List.sort compare
 let tables t = List.map (fun name -> Hashtbl.find t.tables name) (names t)
-
-let load_csv t ~name ~schema ?domains ?sep path =
-  let table = Lh_storage.Table.load_csv ~name ~schema ~dict:t.dict ?domains ?sep path in
-  register t table;
-  table

@@ -129,11 +129,14 @@ type prof_acc = {
   mutable a_rows_out : int;
 }
 
+(* Tries and dense views of table versions: private to one engine, or
+   shared by every view a service hands out. *)
+type cache = { tries : Executor.trie_cache; dense : Blas_bridge.dense_info option Vcache.t }
+
 type t = {
   cat : Catalog.t;
   mutable cfg : Config.t;
-  dense_cache : (string, Blas_bridge.dense_info option) Hashtbl.t;
-  trie_cache : Executor.trie_cache;
+  cache : cache;
   plans : (string, centry) Hashtbl.t;  (** normalized-AST text -> plan *)
   mutable plan_tick : int;  (** logical clock for LRU eviction *)
   mutable epoch : int;  (** bumped on catalog / plan-relevant config change *)
@@ -148,12 +151,19 @@ type path = Scan_path | Wcoj_path | Blas_path
 
 type explain = { epath : path; efhw : float option; etext : string }
 
+let new_cache () = { tries = Vcache.create (); dense = Vcache.create () }
+
+let retain_cache c ~live =
+  Vcache.retain c.tries ~live;
+  Vcache.retain c.dense ~live
+
+let cache_versions c = List.sort_uniq compare (Vcache.versions c.tries @ Vcache.versions c.dense)
+
 let create ?(config = Config.default) () =
   {
     cat = Catalog.create ();
     cfg = config;
-    dense_cache = Hashtbl.create 8;
-    trie_cache = Hashtbl.create 32;
+    cache = new_cache ();
     plans = Hashtbl.create 16;
     plan_tick = 0;
     epoch = 0;
@@ -189,37 +199,61 @@ let set_config t cfg =
     t.epoch <- t.epoch + 1
   end
 
-(* (Re-)registering a name invalidates cached plans/tries for it. Every
-   entry point that mutates the catalog must go through this: serving a
-   cached trie or plan for a replaced table would silently return stale
-   rows (plans capture table values in their bindings). *)
-let invalidate_caches t =
-  Hashtbl.reset t.trie_cache;
-  Hashtbl.reset t.dense_cache;
+(* Every entry point that mutates the catalog must go through this:
+   serving a cached plan for a replaced table would silently return stale
+   rows (plans capture table values in their bindings). Tries and dense
+   views need no invalidation: they are keyed by table version, and a
+   replaced table has a new one. *)
+let invalidate_plans t =
   Hashtbl.reset t.plans;
   t.epoch <- t.epoch + 1
 
-let register t table =
-  invalidate_caches t;
-  Catalog.register t.cat table
+(* Point [name] at [table] (or at nothing). The replaced version can no
+   longer be asked for through this engine, so its entries leave the
+   cache. On a shared cache that can at worst cost another engine a
+   rebuild; Lh_serve's views never register, and it prunes the shared
+   cache itself. *)
+let set_entry t name table =
+  (match Catalog.find t.cat name with
+  | Some old when Option.map (fun (n : T.t) -> n.T.id) table <> Some old.T.id ->
+      retain_cache t.cache ~live:(fun v -> v <> old.T.id)
+  | _ -> ());
+  match table with Some tbl -> Catalog.register t.cat tbl | None -> Catalog.remove t.cat name
+
+let register t (table : T.t) =
+  invalidate_plans t;
+  set_entry t table.T.name (Some table)
+
 let dict t = Catalog.dict t.cat
 
 (* Ingest entry points wrap like the query entry points do, so an aborted
    load (bad row, injected fault) surfaces as a typed [Error] with the
-   catalog unchanged: the caches are dropped up front (cheap and
-   idempotent) and the table is only registered after a fully successful
-   build. *)
+   catalog unchanged: the table is only registered after a fully
+   successful build. *)
 let register_rows t ~name ~schema rows =
   wrap (fun () ->
-      invalidate_caches t;
-      let table = T.of_rows ~name ~schema ~dict:(Catalog.dict t.cat) rows in
-      Catalog.register t.cat table;
+      let table = T.of_rows ~name ~schema ~dict:(dict t) rows in
+      register t table;
       table)
 
 let load_csv t ~name ~schema ?sep path =
   wrap (fun () ->
-      invalidate_caches t;
-      Catalog.load_csv t.cat ~name ~schema ~domains:(max 1 t.cfg.Config.domains) ?sep path)
+      let table =
+        T.load_csv ~name ~schema ~dict:(dict t) ~domains:(max 1 t.cfg.Config.domains) ?sep path
+      in
+      register t table;
+      table)
+
+type undo = { u_name : string; u_table : T.t option; u_epoch : int }
+
+let undo_point t ~name = { u_name = name; u_table = Catalog.find t.cat name; u_epoch = t.epoch }
+
+(* The catalog is back to exactly the state [u.u_epoch] named, so that
+   epoch number is valid again; no plan made in between survives. *)
+let undo t u =
+  Hashtbl.reset t.plans;
+  set_entry t u.u_name u.u_table;
+  t.epoch <- u.u_epoch
 
 (* Durable-checkpoint writer and loader (see Lh_durable.Store): the dump
    decodes every relation back to rows in deterministic (sorted-name)
@@ -241,39 +275,36 @@ type snapshot = { snap_epoch : int; snap_cat : Catalog.t; snap_cfg : Config.t }
 
 let epoch t = t.epoch
 
-(* Freeze the current catalog: one deep dictionary copy, every table
-   repointed at it. Table columns are immutable after construction, so the
-   snapshot shares them; only the dictionary — the one structure ingest
-   keeps mutating — is copied. Must be called with no ingest in flight
-   (the serving layer serializes writers). *)
-let snapshot t =
-  let dict = Lh_storage.Dict.copy (Catalog.dict t.cat) in
-  let cat = Catalog.of_dict dict in
-  List.iter
-    (fun name -> Catalog.register cat (T.with_dict (Catalog.find_exn t.cat name) ~dict))
-    (Catalog.names t.cat);
-  { snap_epoch = t.epoch; snap_cat = cat; snap_cfg = t.cfg }
+(* A catalog holding [cat]'s tables, repointed at a frozen handle on its
+   dictionary: O(tables), no string is copied. *)
+let freeze_catalog cat =
+  let dict = Lh_storage.Dict.freeze (Catalog.dict cat) in
+  let frozen = Catalog.of_dict dict in
+  List.iter (fun tbl -> Catalog.register frozen (T.with_dict tbl ~dict)) (Catalog.tables cat);
+  frozen
+
+(* Freeze the current catalog. Table columns are immutable after
+   construction and the dictionary is append-only, so the snapshot shares
+   both; it only records the dictionary's current length. Must be called
+   with no ingest in flight (the serving layer serializes writers). *)
+let snapshot t = { snap_epoch = t.epoch; snap_cat = freeze_catalog t.cat; snap_cfg = t.cfg }
 
 let snapshot_epoch s = s.snap_epoch
+let snapshot_versions s = List.map (fun (tbl : T.t) -> tbl.T.id) (Catalog.tables s.snap_cat)
 
-(* A read-only view engine over a snapshot: private caches and a private
-   catalog (so a [query_into] on one view cannot race another), sharing the
-   snapshot's frozen dictionary and table buffers. The budget is cloned —
-   its per-run cells are mutable and views execute concurrently. The view's
-   epoch is pinned to the snapshot's, so prepared statements created on a
-   view never spuriously revalidate. *)
-let of_snapshot ?config snap =
-  let cat = Catalog.of_dict (Catalog.dict snap.snap_cat) in
-  List.iter
-    (fun name -> Catalog.register cat (Catalog.find_exn snap.snap_cat name))
-    (Catalog.names snap.snap_cat);
+(* An engine over a snapshot: a private catalog (so a [query_into] on one
+   view cannot race another) with its own frozen dictionary handle, so an
+   ingest into it forks a private pool without touching the snapshot's.
+   The budget is cloned — its per-run cells are mutable and views execute
+   concurrently. The epoch is pinned to the snapshot's, so prepared
+   statements created on a view never spuriously revalidate. *)
+let of_snapshot ?config ?cache snap =
   let cfg = Option.value config ~default:snap.snap_cfg in
   let cfg = { cfg with Config.budget = Lh_util.Budget.clone cfg.Config.budget } in
   {
-    cat;
+    cat = freeze_catalog snap.snap_cat;
     cfg;
-    dense_cache = Hashtbl.create 8;
-    trie_cache = Hashtbl.create 32;
+    cache = Option.value cache ~default:(new_cache ());
     plans = Hashtbl.create 16;
     plan_tick = 0;
     epoch = snap.snap_epoch;
@@ -283,16 +314,12 @@ let of_snapshot ?config snap =
   }
 
 let dense_info t (table : T.t) =
-  let key = Printf.sprintf "%s/%d" table.T.name table.T.nrows in
-  match Hashtbl.find_opt t.dense_cache key with
-  | Some i ->
-      Obs.incr c_dense_hit;
-      i
-  | None ->
-      Obs.incr c_dense_miss;
-      let i = Blas_bridge.dense_rect table in
-      Hashtbl.replace t.dense_cache key i;
-      i
+  let i, hit =
+    Vcache.find_or_build t.cache.dense ~version:table.T.id "" (fun () ->
+        Blas_bridge.dense_rect table)
+  in
+  Obs.incr (if hit then c_dense_hit else c_dense_miss);
+  i
 
 (* ------------------------------------------------------------------ *)
 (* Per-query profiles                                                   *)
@@ -551,7 +578,7 @@ let run_decided t lq decided ~name =
             | None -> failwith "Engine: BLAS path vanished between planning and execution")
     | Use_wcoj (_, pnode) ->
         Obs.span "execute.wcoj" ~record:(Hist.observe_always h_wcoj) (fun () ->
-            Executor.run t.cfg ~cache:t.trie_cache lq pnode)
+            Executor.run t.cfg ~cache:t.cache.tries lq pnode)
   in
   (* Refresh the profile's plan line now that execution resolved the leaf
      kernel disposition onto the pnode. *)

@@ -35,6 +35,8 @@
     equality-selection weights) are re-checked cheaply at bind time.
     Cached plans are invalidated by {!register} / {!register_rows} /
     {!load_csv}, and by {!set_config} when a plan-shaping knob changes.
+    Tries and dense views are cached by table version instead (see
+    {!type-cache}) and survive both.
     Hits/misses/evictions are observable as the [plan_cache.*] counters. *)
 
 type t
@@ -80,7 +82,7 @@ val set_config : t -> Config.t -> unit
     prepared statements on their next execution) iff a plan-shaping knob
     changed: [attribute_elimination], [attr_order],
     [relax_materialized_first] or [ghd_heuristics]. Trie and dense-matrix
-    caches are content-addressed and survive config changes. *)
+    caches are keyed by table version and survive config changes. *)
 
 val catalog : t -> Catalog.t
 
@@ -102,33 +104,67 @@ val restore :
 
 (** {2 Snapshots}
 
-    A snapshot freezes the engine's catalog at one epoch: a deep copy of
-    the shared string dictionary plus the (immutable) table buffers
-    repointed at it. {!of_snapshot} turns a snapshot into a read-only view
-    engine with private caches, safe to query from another domain while
-    the original engine keeps ingesting. This is the storage half of the
-    serving layer's epoch-pinned reads (see [Lh_serve]). *)
+    A snapshot freezes the engine's catalog at one epoch: the (immutable)
+    table buffers, repointed at a frozen handle on the append-only string
+    dictionary ({!Lh_storage.Dict.freeze}). Nothing is copied, so a
+    snapshot costs O(tables). {!of_snapshot} turns a snapshot into an
+    engine safe to query from another domain while the original engine
+    keeps ingesting. This is the storage half of the serving layer's
+    epoch-pinned reads (see [Lh_serve]). *)
 
 type snapshot
 
 val epoch : t -> int
 (** Monotone generation counter: bumped by {!register} / {!register_rows}
-    / {!load_csv} and by {!set_config} when a plan-shaping knob changes. *)
+    / {!load_csv} and by {!set_config} when a plan-shaping knob changes
+    ({!undo} is the one way back). *)
 
 val snapshot : t -> snapshot
-(** Freeze the current catalog. O(dictionary size); table buffers are
-    shared, not copied. The caller must ensure no ingest runs during the
-    freeze. *)
+(** Freeze the current catalog. O(tables): table buffers and dictionary
+    strings are shared, not copied. The caller must ensure no ingest runs
+    during the freeze. *)
 
 val snapshot_epoch : snapshot -> int
 (** The {!epoch} the snapshot was taken at. *)
 
-val of_snapshot : ?config:Config.t -> snapshot -> t
-(** A view engine over a frozen snapshot: private plan/trie/dense caches,
-    a private catalog, a cloned budget ({!Lh_util.Budget.clone}), and
-    [epoch] pinned to {!snapshot_epoch}. Many views of the same snapshot
-    may execute queries concurrently; do not ingest into a view. [config]
-    defaults to the source engine's configuration at freeze time. *)
+val snapshot_versions : snapshot -> int list
+(** The versions ({!Lh_storage.Table.t.id}) of the snapshot's tables. *)
+
+(** Tries and dense views are cached per table version, so a cache entry
+    never goes stale: re-registering a name makes a new version. *)
+type cache
+
+val new_cache : unit -> cache
+(** An empty cache, to share between engines (see {!of_snapshot}). Safe
+    to use from many domains; builds are single-flight. *)
+
+val retain_cache : cache -> live:(int -> bool) -> unit
+(** Drop the entries of every table version failing [live]. *)
+
+val cache_versions : cache -> int list
+(** The table versions holding entries, sorted. *)
+
+val of_snapshot : ?config:Config.t -> ?cache:cache -> snapshot -> t
+(** An engine over a frozen snapshot: a private catalog, private plan
+    cache, a cloned budget ({!Lh_util.Budget.clone}), and [epoch] pinned
+    to {!snapshot_epoch}. Many engines over the same snapshot may execute
+    queries concurrently. Tries and dense views go to [cache], which the
+    caller may share between engines and prunes itself with
+    {!retain_cache}; without it the engine keeps a private cache.
+    Ingesting into the engine is allowed: its first string the snapshot
+    does not know forks a private dictionary, leaving the snapshot and
+    its source untouched. [config] defaults to the source engine's
+    configuration at freeze time. *)
+
+type undo
+(** What one catalog entry held, and the epoch, before an ingest. *)
+
+val undo_point : t -> name:string -> undo
+
+val undo : t -> undo -> unit
+(** Put the entry (and the epoch) back: the catalog answers as it did at
+    {!undo_point}. Strings the undone ingest added to the dictionary stay
+    (unreferenced). Meant for a writer whose ingest was not acknowledged. *)
 
 val query_result : t -> string -> (Lh_storage.Table.t, Error.t) result
 (** The canonical one-shot entry point: parse and execute; the result
@@ -153,7 +189,7 @@ val semirings : unit -> string list
 val query_into : t -> name:string -> string -> Lh_storage.Table.t
 (** Like {!query} but names the result table [name] and registers it in
     the catalog so later queries can read it. Registration invalidates
-    cached plans and tries (the catalog changed). *)
+    cached plans (the catalog changed). *)
 
 val query_ast : t -> Lh_sql.Ast.query -> Lh_storage.Table.t
 

@@ -183,9 +183,10 @@ let alias_gitems (lq : Logical.t) alias =
          | Logical.Group_ann _ | Logical.Group_key _ -> None)
 
 (* Hot-run trie cache (§VI-A measurement protocol: index creation is
-   excluded, measurements are hot runs back-to-back).  The key captures
-   everything that determines the trie's contents. *)
-type trie_cache = (string, Trie.t) Hashtbl.t
+   excluded, measurements are hot runs back-to-back). Keyed by the table
+   version plus [trie_signature], which captures everything else that
+   determines the trie's contents. *)
+type trie_cache = Trie.t Vcache.t
 
 let alias_gitems_sig (lq : Logical.t) alias =
   alias_gitems lq alias
@@ -211,7 +212,7 @@ let trie_signature (lq : Logical.t) ~order (edge : Logical.edge) =
   let gitems_sig =
     alias_gitems_sig lq edge.Logical.alias
   in
-  Format.asprintf "%s/%d|%s|%s|%s|%s" edge.Logical.table.T.name edge.Logical.table.T.nrows
+  Format.asprintf "%s|%s|%s|%s"
     (String.concat "," (List.map string_of_int levels))
     (match edge.Logical.filter with Some p -> Format.asprintf "%a" Ast.pp_pred p | None -> "")
     slots_sig gitems_sig
@@ -265,16 +266,11 @@ let build_base_xrel ?cache ~domains (lq : Logical.t) ~order (edge : Logical.edge
        stay inside the measured run. *)
     match cache with
     | Some cache when edge.Logical.filter = None -> (
-        let sig_ = trie_signature lq ~order edge in
-        match Hashtbl.find_opt cache sig_ with
-        | Some t ->
-            Obs.incr c_cache_hit;
-            t
-        | None ->
-            Obs.incr c_cache_miss;
-            let t = build () in
-            Hashtbl.replace cache sig_ t;
-            t)
+        let t, hit =
+          Vcache.find_or_build cache ~version:table.T.id (trie_signature lq ~order edge) build
+        in
+        Obs.incr (if hit then c_cache_hit else c_cache_miss);
+        t)
     | _ -> build ()
   in
   let positions =

@@ -46,10 +46,10 @@ val rel_infos :
 (** The §V relation descriptors of one bag (base relations followed by
     derived child relations) — exposed for the Fig. 5 experiments. *)
 
-type trie_cache = (string, Lh_storage.Trie.t) Hashtbl.t
+type trie_cache = Lh_storage.Trie.t Vcache.t
 (** Hot-run trie cache: the §VI-A protocol measures hot runs back-to-back
     and excludes index creation, so the engine keeps per-query tries keyed
-    by everything that determines their contents (table identity, key
+    by everything that determines their contents (table version, key
     levels, filter, carried codes, owned aggregates). *)
 
 type row = { gcodes : int array; slots : float array }

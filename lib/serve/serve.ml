@@ -70,7 +70,7 @@ type epoch = {
 }
 
 type t = {
-  mutable writer : Engine.t;  (* mutated only on durable-ingest rollback *)
+  writer : Engine.t;
   w_lock : Mutex.t;
   lock : Mutex.t;
   mutable current : epoch;
@@ -83,6 +83,7 @@ type t = {
   queue_depth : int;
   session_depth : int;
   view_cfg : Config.t;
+  cache : Engine.cache;  (* tries and dense views, shared by every view *)
   slow_log : (Profile.t -> unit) option;
   store : Store.t option;  (* durable WAL + checkpoints; None = in-memory *)
   checkpoint_every : int;  (* durable ingests between checkpoints; 0 = never *)
@@ -137,6 +138,7 @@ let create ?config ?max_sessions ?queue_depth ?(session_depth = 8) ?slow_log ?st
     queue_depth = (match queue_depth with Some n -> n | None -> env_int "LH_QUEUE_DEPTH" 32);
     session_depth;
     view_cfg;
+    cache = Engine.new_cache ();
     slow_log;
     store;
     checkpoint_every =
@@ -149,11 +151,19 @@ let create ?config ?max_sessions ?queue_depth ?(session_depth = 8) ?slow_log ?st
 (* ------------------------------------------------------------------ *)
 (* Epoch lifecycle. All called with [t.lock] held.                     *)
 
+(* Reclaiming an epoch also drops the cached tries and dense views of
+   every table version no live epoch still holds: no query can ask for
+   them again. *)
 let reclaim_locked t e =
   if e.e_retired && e.e_pins = 0 && not e.e_reclaimed then begin
     Fault.hit fault_retire;
     e.e_reclaimed <- true;
     t.live <- List.filter (fun x -> x != e) t.live;
+    let live = Hashtbl.create 16 in
+    List.iter
+      (fun e -> List.iter (fun v -> Hashtbl.replace live v ()) (Engine.snapshot_versions e.e_snap))
+      t.live;
+    Engine.retain_cache t.cache ~live:(Hashtbl.mem live);
     Obs.incr c_retired
   end
 
@@ -204,15 +214,16 @@ let pin_for_query s =
       e.e_pins <- e.e_pins + 1;
       e)
 
-(* One view engine per (session, epoch): private plan/trie/dense caches
-   with session lifetime, so repeated shapes hit warm plans without any
-   cross-session sharing. Called with [s_lock] held. Views of reclaimed
-   epochs are pruned as newer ones are created. *)
+(* One view engine per (session, epoch), holding that session's plan
+   cache for the epoch; tries and dense views come from the service-wide
+   cache, so every session of every epoch reuses them. Called with
+   [s_lock] held. Views of reclaimed epochs are pruned as newer ones are
+   created. *)
 let view_for s e =
   match List.assoc_opt e.e_id s.s_views with
   | Some v -> v
   | None ->
-      let v = Engine.of_snapshot ~config:s.s_svc.view_cfg e.e_snap in
+      let v = Engine.of_snapshot ~config:s.s_svc.view_cfg ~cache:s.s_svc.cache e.e_snap in
       (match s.s_svc.slow_log with
       | Some sink -> Engine.set_profile_sink v (Some sink)
       | None -> ());
@@ -499,23 +510,18 @@ let log_durable t (tbl : Lh_storage.Table.t) =
         t.since_checkpoint <- 0
       end
 
-let ingest_with t ingest =
+let ingest_with t ~name ingest =
   locked t.w_lock (fun () ->
       if locked t.lock (fun () -> t.closed) then Result.Error (Closed "service")
       else begin
         Obs.incr c_ingests;
-        (* With a durable store attached, a failure after the writer
-           committed but before the ack must leave no trace in memory:
-           the recovered state may legitimately contain the unacked
-           batch (it is complete on disk once logged), but the live
-           writer rolls back to the published snapshot so a later
-           checkpoint cannot leak never-logged state. *)
-        let pre = match t.store with None -> None | Some _ -> Some (Engine.snapshot t.writer) in
-        let rollback () =
-          match pre with
-          | Some snap -> t.writer <- Engine.of_snapshot ~config:(Engine.config t.writer) snap
-          | None -> ()
-        in
+        (* A failure after the writer committed but before the ack must
+           leave no trace in memory: the recovered state may legitimately
+           contain the unacked batch (it is complete on disk once
+           logged), but the live writer puts back the one entry the
+           ingest replaced, so a later checkpoint cannot leak
+           never-logged state. *)
+        let pre = Engine.undo_point t.writer ~name in
         match ingest () with
         | exception exn -> Result.Error (error_of_exn exn)
         | (tbl : Lh_storage.Table.t) -> (
@@ -533,7 +539,7 @@ let ingest_with t ingest =
               Fault.hit fault_publish
             with
             | exception exn ->
-                rollback ();
+                Engine.undo t.writer pre;
                 Result.Error (error_of_exn exn)
             | () -> (
                 let e = epoch_of_snapshot (Engine.snapshot t.writer) in
@@ -550,10 +556,10 @@ let ingest_with t ingest =
       end)
 
 let ingest_rows t ~name ~schema rows =
-  ingest_with t (fun () -> Engine.register_rows t.writer ~name ~schema rows)
+  ingest_with t ~name (fun () -> Engine.register_rows t.writer ~name ~schema rows)
 
 let load_csv t ~name ~schema ?sep path =
-  ingest_with t (fun () -> Engine.load_csv t.writer ~name ~schema ?sep path)
+  ingest_with t ~name (fun () -> Engine.load_csv t.writer ~name ~schema ?sep path)
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)
@@ -562,6 +568,8 @@ let current_epoch t = locked t.lock (fun () -> t.current.e_id)
 
 let epochs t =
   locked t.lock (fun () -> List.map (fun e -> (e.e_id, e.e_pins, e.e_retired)) t.live)
+
+let cached_versions t = Engine.cache_versions t.cache
 
 type stats = { st_sessions : int; st_inflight : int; st_epochs : int; st_current : int }
 

@@ -15,6 +15,14 @@
     - a superseded epoch is {e retired} and reclaimed once its pin count
       drops to zero; pinned epochs are never reclaimed.
 
+    Freezing an epoch copies nothing (O(tables), see
+    {!Levelheaded.Engine.snapshot}). Each (session, epoch) view engine
+    keeps its own plan cache, but tries and dense views come from one
+    cache per service, keyed by table version: every session of every
+    epoch reuses them, an ingest makes only the replaced table's entries
+    cold, and reclaiming an epoch drops the entries of every version no
+    live epoch still holds.
+
     Admission control sits on the existing budget machinery: a bounded
     service-wide admission queue and a per-session outstanding cap, both
     rejecting with typed {!error} [Overloaded]; per-query time/memory
@@ -180,7 +188,8 @@ val ingest_rows :
     on the writer, freezes a new snapshot, publishes it as the new
     current epoch and retires the superseded one (reclaimed when its pin
     count reaches zero). Returns the new epoch id. On error nothing is
-    published and the served epoch is unchanged. *)
+    published, the served epoch is unchanged, and the writer's catalog
+    entry for [name] is put back as it was. *)
 
 val load_csv :
   t ->
@@ -201,6 +210,11 @@ type stats = {
 }
 
 val stats : t -> stats
+
+val cached_versions : t -> int list
+(** The table versions ({!Lh_storage.Table.t.id}) the service-wide trie
+    and dense-view cache holds entries for, sorted. Every one belongs to
+    a live epoch once the epochs that held the others are reclaimed. *)
 
 (** Fault sites (see {!Lh_fault.Fault}): ["serve.admit"] fires on every
     admission decision before any accounting mutates; ["epoch.publish"]

@@ -3,7 +3,7 @@ type t = {
   nbits : int;
   words : int array;
   mutable card : int;
-  mutable rank_cache : int array;
+  rank_cache : int array Atomic.t;
 }
 
 let word_bits = 63
@@ -24,7 +24,7 @@ let create ~offset ~nbits =
     nbits = max nbits 1;
     words = Array.make (nwords (max nbits 1)) 0;
     card = 0;
-    rank_cache = [||];
+    rank_cache = Atomic.make [||];
   }
 
 let popcount x =
@@ -107,7 +107,7 @@ let word_offset t = t.offset / word_bits
 let inter a b =
   let lo_w = max (word_offset a) (word_offset b) in
   let hi_w = min (word_offset a + Array.length a.words) (word_offset b + Array.length b.words) in
-  if hi_w <= lo_w then { offset = 0; nbits = 1; words = [| 0 |]; card = 0; rank_cache = [||] }
+  if hi_w <= lo_w then { offset = 0; nbits = 1; words = [| 0 |]; card = 0; rank_cache = Atomic.make [||] }
   else begin
     let n = hi_w - lo_w in
     let words = Array.make n 0 in
@@ -119,7 +119,7 @@ let inter a b =
       words.(i) <- w;
       if w <> 0 then card := !card + popcount w
     done;
-    { offset = lo_w * word_bits; nbits = n * word_bits; words; card = !card; rank_cache = [||] }
+    { offset = lo_w * word_bits; nbits = n * word_bits; words; card = !card; rank_cache = Atomic.make [||] }
   end
 
 let inter_uint t arr =
@@ -195,11 +195,16 @@ let union a b =
     blit a;
     blit b;
     let card = Array.fold_left (fun acc w -> acc + popcount w) 0 words in
-    { offset = lo_w * word_bits; nbits = n * word_bits; words; card; rank_cache = [||] }
+    { offset = lo_w * word_bits; nbits = n * word_bits; words; card; rank_cache = Atomic.make [||] }
   end
 
+(* Tries are shared by queries on several domains, so two may fill the
+   cache at once: both compute the same array, and the atomic publishes it
+   only after its contents are written. *)
 let ensure_rank_cache t =
-  if Array.length t.rank_cache = 0 then begin
+  let cache = Atomic.get t.rank_cache in
+  if Array.length cache > 0 then cache
+  else begin
     let cache = Array.make (Array.length t.words) 0 in
     let acc = ref 0 in
     Array.iteri
@@ -207,9 +212,9 @@ let ensure_rank_cache t =
         cache.(i) <- !acc;
         acc := !acc + popcount word)
       t.words;
-    t.rank_cache <- cache
-  end;
-  t.rank_cache
+    Atomic.set t.rank_cache cache;
+    cache
+  end
 
 let rank t v =
   let idx = v - t.offset in

@@ -9,10 +9,11 @@ type t = private {
   nbits : int;  (** Size of the representable range. *)
   words : int array;
   mutable card : int;  (** Number of set bits; maintained by {!add}. *)
-  mutable rank_cache : int array;
+  rank_cache : int array Atomic.t;
       (** Per-word prefix popcounts, built lazily by {!rank}; empty until
           then. Invalidated by nothing: {!add} after a {!rank} is a
-          programming error (tries are frozen before queries run). *)
+          programming error (tries are frozen before queries run). Atomic
+          because concurrent queries share tries. *)
 }
 
 val word_bits : int

@@ -1,12 +1,17 @@
 type column = Icol of int array | Fcol of float array
 
 type t = {
+  id : int;
   name : string;
   schema : Schema.t;
   nrows : int;
   cols : column array;
   dict : Dict.t;
 }
+
+(* Table versions: every [create] draws a fresh id, so two tables with the
+   same name and row count never share a cache key. *)
+let next_id = Atomic.make 0
 
 let column_length = function Icol a -> Array.length a | Fcol a -> Array.length a
 
@@ -28,11 +33,12 @@ let create ~name ~schema ~dict cols =
       | (Dtype.Int | Dtype.String | Dtype.Date), Fcol _ ->
           failwith (Printf.sprintf "Table.create %s: column %s must be int codes" name spec.Schema.name))
     cols;
-  { name; schema; nrows; cols; dict }
+  { id = Atomic.fetch_and_add next_id 1; name; schema; nrows; cols; dict }
 
 (* Columns are immutable after [create]; repointing the dictionary is all a
-   snapshot needs — the int codes stay valid because [Dict.copy] preserves
-   code assignment. *)
+   snapshot needs — the int codes stay valid because a {!Dict.freeze}d
+   handle decodes the same prefix. Same columns, same version: the id is
+   kept, so cached tries of this table stay valid for the repointed one. *)
 let with_dict t ~dict = { t with dict }
 
 let encode_cell dict dtype raw =

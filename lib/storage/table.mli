@@ -9,6 +9,9 @@
 type column = Icol of int array | Fcol of float array
 
 type t = private {
+  id : int;
+      (** the table's version: unique per {!create}, kept by {!with_dict}.
+          Caches of derived structures (tries, dense views) key on it. *)
   name : string;
   schema : Schema.t;
   nrows : int;
@@ -24,9 +27,10 @@ val of_rows : name:string -> schema:Schema.t -> dict:Dict.t -> Dtype.value list 
 (** Convenience constructor for tests and small inputs. *)
 
 val with_dict : t -> dict:Dict.t -> t
-(** Same columns, different dictionary. Only meaningful when [dict]
-    preserves this table's code assignment (e.g. a {!Dict.copy} of the
-    original); used to freeze tables into immutable snapshots. *)
+(** Same columns and version, different dictionary handle. Only
+    meaningful when [dict] decodes this table's codes the same way (e.g. a
+    {!Dict.freeze} of the original's); used to freeze tables into
+    snapshots. *)
 
 val load_csv :
   name:string -> schema:Schema.t -> dict:Dict.t -> ?domains:int -> ?sep:char -> string -> t

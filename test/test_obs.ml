@@ -257,12 +257,21 @@ let test_trie_cache_hit_miss () =
   Alcotest.(check bool) "cold run builds tries" true (cval "trie.built" cold >= 1);
   Alcotest.(check bool) "hot run hits" true (cval "trie_cache.hit" hot >= 1);
   Alcotest.(check int) "hot run never misses" 0 (cval "trie_cache.miss" hot);
-  (* re-registering the table must invalidate: back to a cold run *)
+  (* tries are cached per table version: registering an unrelated table
+     leaves the smm run hot … *)
+  ignore
+    (L.Engine.register_rows e ~name:"other" ~schema:Lh_datagen.Matrices.matrix_schema
+       (matrix_rows [ (0, 1, 2.0) ]));
+  let (), still_hot = Report.with_session run in
+  Alcotest.(check int) "unrelated register_rows keeps it hot" 0
+    (cval "trie_cache.miss" still_hot);
+  (* … while re-registering m makes a new version: back to a cold run *)
   ignore
     (L.Engine.register_rows e ~name:"m" ~schema:Lh_datagen.Matrices.matrix_schema
        (matrix_rows [ (0, 1, 2.0); (1, 2, 3.0) ]));
   let (), recold = Report.with_session run in
-  Alcotest.(check bool) "miss again after register_rows" true (cval "trie_cache.miss" recold >= 1)
+  Alcotest.(check bool) "miss again after re-registering m" true
+    (cval "trie_cache.miss" recold >= 1)
 
 let test_register_rows_invalidates () =
   (* the stale-cache regression: register_rows used to leave the trie

@@ -440,9 +440,79 @@ let test_query_latency_count_per_domains () =
   Alcotest.(check int) "one observation per query at domains=1" 5 (queries_at 1 5);
   Alcotest.(check int) "one observation per query at domains=4" 5 (queries_at 4 5)
 
+
+(* ---- the version-keyed cache: single-flight builds ---- *)
+
+module Vcache = L.Vcache
+
+(* Spawn a domain that claims [key]'s build and holds it until [gate]
+   opens, running [finish] as its build's last step. Returns once the
+   build is in progress. *)
+let hold_build c ~gate ~builds finish =
+  let claimed = Atomic.make false in
+  let d =
+    Domain.spawn (fun () ->
+        match
+          Vcache.find_or_build c ~version:1 "key" (fun () ->
+              Atomic.incr builds;
+              Atomic.set claimed true;
+              while not (Atomic.get gate) do
+                Domain.cpu_relax ()
+              done;
+              finish ())
+        with
+        | v -> Some v
+        | exception Failure _ -> None)
+  in
+  while not (Atomic.get claimed) do
+    Domain.cpu_relax ()
+  done;
+  d
+
+let test_vcache_waits_for_build () =
+  let c = Vcache.create () and gate = Atomic.make false and builds = Atomic.make 0 in
+  let holder = hold_build c ~gate ~builds (fun () -> 42) in
+  let waiter =
+    Domain.spawn (fun () ->
+        Vcache.find_or_build c ~version:1 "key" (fun () ->
+            Atomic.incr builds;
+            0))
+  in
+  Unix.sleepf 0.02;
+  Atomic.set gate true;
+  Alcotest.(check (option (pair int bool))) "builder" (Some (42, false)) (Domain.join holder);
+  Alcotest.(check (pair int bool)) "waiter gets the build" (42, true) (Domain.join waiter);
+  Alcotest.(check int) "one build" 1 (Atomic.get builds);
+  Vcache.retain c ~live:(fun v -> v <> 1);
+  Alcotest.(check (list int)) "retain drops the version" [] (Vcache.versions c)
+
+let test_vcache_failed_build_handed_over () =
+  let c = Vcache.create () and gate = Atomic.make false and builds = Atomic.make 0 in
+  let holder = hold_build c ~gate ~builds (fun () -> failwith "build failed") in
+  let waiter =
+    Domain.spawn (fun () ->
+        Vcache.find_or_build c ~version:1 "key" (fun () ->
+            Atomic.incr builds;
+            7))
+  in
+  Unix.sleepf 0.02;
+  Atomic.set gate true;
+  Alcotest.(check (option (pair int bool))) "builder sees its failure" None (Domain.join holder);
+  Alcotest.(check (pair int bool)) "waiter builds instead" (7, false) (Domain.join waiter);
+  Alcotest.(check int) "two builds" 2 (Atomic.get builds);
+  Alcotest.(check (pair int bool)) "then cached" (7, true)
+    (Vcache.find_or_build c ~version:1 "key" (fun () -> 0))
+
 let () =
   Alcotest.run "levelheaded-parallel"
     [
+      ( "vcache",
+        [
+          Alcotest.test_case "a miss waits for the build in progress" `Quick
+            test_vcache_waits_for_build;
+          Alcotest.test_case "a failed build is handed over" `Quick
+            test_vcache_failed_build_handed_over;
+        ] );
       ( "parfor",
         [
           Alcotest.test_case "chunk_bounds partitions exhaustively" `Quick

@@ -338,6 +338,238 @@ let test_pool_submit_sync_when_no_workers () =
   Pool.submit pool ~group:1 (fun () -> ran2 := true);
   Alcotest.(check bool) "ran after shutdown" true !ran2
 
+let rec rm_rf path =
+  match Unix.lstat path with
+  | exception Unix.Unix_error _ -> ()
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun n -> rm_rf (Filename.concat path n)) (Sys.readdir path);
+      (try Unix.rmdir path with Unix.Unix_error _ -> ())
+  | _ -> ( try Sys.remove path with Sys_error _ -> ())
+
+let with_temp_dir f =
+  let dir = Filename.temp_file "lh_serve_test" ".d" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o700;
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+(* ---- the service-wide trie cache ---- *)
+
+module Report = Lh_obs.Report
+
+let cval name (r : Report.t) = Option.value (List.assoc_opt name r.Report.counters) ~default:0
+
+let kv_schema name =
+  Schema.create [ ("k", Dtype.Int, Schema.Key); (name, Dtype.Float, Schema.Annotation) ]
+
+let kv_rows n scale =
+  List.init n (fun i -> [ Dtype.VInt i; Dtype.VFloat (float_of_int (i * scale)) ])
+
+(* a(k, x) joins b(k, y); c is unrelated to the join. *)
+let join_engine () =
+  let eng = Engine.create ~config:{ Config.default with Config.domains = 1 } () in
+  ignore (Engine.register_rows eng ~name:"a" ~schema:(kv_schema "x") (kv_rows 40 1));
+  ignore (Engine.register_rows eng ~name:"b" ~schema:(kv_schema "y") (kv_rows 30 2));
+  ignore (Engine.register_rows eng ~name:"c" ~schema:(kv_schema "z") (kv_rows 10 3));
+  eng
+
+let q_join = "select count(*) as n, sum(a.x * b.y) as s from a, b where a.k = b.k"
+
+let query_rows s sql =
+  match Serve.query_epoch s sql with
+  | Ok (t, e) -> (Table.to_rows t, e)
+  | Error e -> Alcotest.failf "query: %s" (Serve.error_to_string e)
+
+let ingest_ok svc ~name ~schema rows =
+  match Serve.ingest_rows svc ~name ~schema rows with
+  | Ok e -> e
+  | Error e -> Alcotest.failf "ingest %s: %s" name (Serve.error_to_string e)
+
+let test_unrelated_ingest_stays_warm () =
+  let svc = Serve.create (join_engine ()) in
+  let s = Serve.open_session svc in
+  let warm, e0 = query_rows s q_join in
+  let e1 = ingest_ok svc ~name:"c" ~schema:(kv_schema "z") (kv_rows 11 3) in
+  let (rows, e), r = Report.with_session (fun () -> query_rows s q_join) in
+  Alcotest.(check bool) "ran on the new epoch" true (e = e1 && e1 > e0);
+  Alcotest.(check int) "no trie miss" 0 (cval "trie_cache.miss" r);
+  Alcotest.(check int) "no trie built" 0 (cval "trie.built" r);
+  Helpers.check_rows_equal "same rows" warm rows;
+  Serve.close svc
+
+let test_joined_ingest_misses () =
+  let svc = Serve.create (join_engine ()) in
+  let s = Serve.open_session svc in
+  let before, _ = query_rows s q_join in
+  ignore (ingest_ok svc ~name:"b" ~schema:(kv_schema "y") (kv_rows 20 5));
+  let (rows, _), r = Report.with_session (fun () -> query_rows s q_join) in
+  Alcotest.(check bool) "b's new version misses" true (cval "trie_cache.miss" r >= 1);
+  Alcotest.(check bool) "answer changed" false (Lh_qgen.Rows.equal before rows);
+  let fresh = Engine.create () in
+  ignore (Engine.register_rows fresh ~name:"a" ~schema:(kv_schema "x") (kv_rows 40 1));
+  ignore (Engine.register_rows fresh ~name:"b" ~schema:(kv_schema "y") (kv_rows 20 5));
+  Helpers.check_rows_equal "new answer" (Table.to_rows (Engine.query fresh q_join)) rows;
+  Serve.close svc
+
+(* K sessions racing the same cold query on one pinned epoch build each
+   base trie exactly once: a miss during a build in progress waits for
+   it. *)
+let test_single_flight () =
+  let k = 4 in
+  Pool.ensure_workers (Pool.global ()) k;
+  let base_tries =
+    let eng = join_engine () in
+    cval "trie.built" (snd (Report.with_session (fun () -> ignore (Engine.query eng q_join))))
+  in
+  Alcotest.(check int) "two base tries" 2 base_tries;
+  let svc = Serve.create ~max_sessions:k (join_engine ()) in
+  let sessions = List.init k (fun _ -> Serve.open_session svc) in
+  let e = List.fold_left (fun _ s -> Serve.pin s) 0 sessions in
+  let results, r =
+    Report.with_session (fun () ->
+        List.map (fun s -> Serve.submit s q_join) sessions |> List.map Serve.await)
+  in
+  Alcotest.(check int) "each base trie built once" base_tries (cval "trie.built" r);
+  let first = ref None in
+  List.iter
+    (function
+      | Ok (t, e') ->
+          Alcotest.(check int) "pinned epoch" e e';
+          let rows = Table.to_rows t in
+          (match !first with
+          | None -> first := Some rows
+          | Some f -> Helpers.check_rows_equal "same answer" f rows)
+      | Error err -> Alcotest.failf "session query: %s" (Serve.error_to_string err))
+    results;
+  Serve.close svc
+
+let test_cache_follows_live_versions () =
+  let eng = join_engine () in
+  let svc = Serve.create eng in
+  let s = Serve.open_session svc in
+  for g = 1 to 200 do
+    ignore (ingest_ok svc ~name:"b" ~schema:(kv_schema "y") (kv_rows (10 + (g mod 7)) g));
+    ignore (query_rows s q_join)
+  done;
+  Alcotest.(check int) "old epochs reclaimed" 1 (List.length (Serve.epochs svc));
+  let live =
+    List.map (fun (t : Table.t) -> t.Table.id) (Levelheaded.Catalog.tables (Engine.catalog eng))
+  in
+  let cached = Serve.cached_versions svc in
+  Alcotest.(check bool) "cache not empty" true (cached <> []);
+  List.iter
+    (fun v ->
+      if not (List.mem v live) then Alcotest.failf "cache holds dead table version %d" v)
+    cached;
+  Serve.close svc
+
+(* ---- forks and rollback stay isolated ---- *)
+
+let tag_schema =
+  Schema.create
+    [
+      ("k", Dtype.Int, Schema.Key);
+      ("tag", Dtype.String, Schema.Key);
+      ("v", Dtype.Float, Schema.Annotation);
+    ]
+
+let tag_rows tags =
+  List.mapi
+    (fun i tag -> [ Dtype.VInt i; Dtype.VString tag; Dtype.VFloat (float_of_int (i + 1)) ])
+    tags
+
+let q_tags = "select tag, sum(v) as v from s group by tag"
+let q_gamma = "select count(*) as n from s where tag = 'gamma'"
+
+let catalog_rows eng =
+  List.map (fun (name, _, rows) -> (name, Lh_qgen.Rows.canonical rows)) (Engine.dump eng)
+
+let test_forked_writer_isolated () =
+  let parent = Engine.create () in
+  ignore (Engine.register_rows parent ~name:"s" ~schema:tag_schema (tag_rows [ "alpha"; "beta" ]));
+  let size0 = Lh_storage.Dict.size (Engine.dict parent) in
+  let tags0 = Table.to_rows (Engine.query parent q_tags) in
+  let snap = Engine.snapshot parent in
+  let writer = Engine.of_snapshot snap in
+  ignore
+    (Engine.register_rows writer ~name:"s" ~schema:tag_schema
+       (tag_rows [ "alpha"; "gamma"; "delta" ]));
+  ignore (Engine.register_rows writer ~name:"u" ~schema:tag_schema (tag_rows [ "epsilon" ]));
+  Helpers.check_rows_equal "writer sees its ingest" [ [ Dtype.VInt 1 ] ]
+    (Table.to_rows (Engine.query writer q_gamma));
+  Alcotest.(check int) "parent dictionary unchanged" size0
+    (Lh_storage.Dict.size (Engine.dict parent));
+  Helpers.check_rows_equal "parent answers unchanged" tags0
+    (Table.to_rows (Engine.query parent q_tags));
+  Helpers.check_rows_equal "parent never sees gamma" [ [ Dtype.VInt 0 ] ]
+    (Table.to_rows (Engine.query parent q_gamma));
+  Helpers.check_rows_equal "a second engine on the snapshot is unaffected" tags0
+    (Table.to_rows (Engine.query (Engine.of_snapshot snap) q_tags))
+
+let test_failed_publish_rolls_back () =
+  with_temp_dir (fun dir ->
+      let eng = Engine.create () in
+      ignore (Engine.register_rows eng ~name:"s" ~schema:tag_schema (tag_rows [ "alpha"; "beta" ]));
+      ignore (Engine.register_rows eng ~name:"t" ~schema (rows 0));
+      let store, _ = Lh_durable.Store.open_dir dir in
+      let svc = Serve.create ~store eng in
+      let before = catalog_rows eng in
+      let e0 = Serve.current_epoch svc in
+      Fun.protect ~finally:Lh_fault.Fault.disarm_all (fun () ->
+          List.iter
+            (fun name ->
+              Lh_fault.Fault.arm ~trigger:(Lh_fault.Fault.Nth 1) "epoch.publish";
+              let rows = tag_rows [ "gamma"; "beta" ] in
+              (match Serve.ingest_rows svc ~name ~schema:tag_schema rows with
+              | Ok _ -> Alcotest.failf "ingest into %s published despite the fault" name
+              | Error _ -> ());
+              Lh_fault.Fault.disarm_all ();
+              Alcotest.(check int) "served epoch unchanged" e0 (Serve.current_epoch svc);
+              if catalog_rows eng <> before then
+                Alcotest.failf "writer catalog changed by the failed ingest into %s" name)
+            [ "s"; "fresh" ]);
+      let s = Serve.open_session svc in
+      ignore (ingest_ok svc ~name:"s" ~schema:tag_schema (tag_rows [ "gamma" ]));
+      Helpers.check_rows_equal "retry publishes" [ [ Dtype.VInt 1 ] ] (fst (query_rows s q_gamma));
+      Serve.close svc)
+
+(* ---- epoch cost does not follow the dictionary ---- *)
+
+let allocated f =
+  let b0 = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. b0
+
+(* Dictionary entries, the allocation of one [Engine.snapshot], and the
+   smallest allocation of a 1-row durable ingest, over TPC-H at [sf]. *)
+let epoch_costs sf =
+  with_temp_dir (fun dir ->
+      let eng = Engine.create ~config:{ Config.default with Config.domains = 1 } () in
+      List.iter (Engine.register eng) (Lh_datagen.Tpch.generate ~dict:(Engine.dict eng) ~sf ());
+      let snapshot = allocated (fun () -> Engine.snapshot eng) in
+      let store, _ = Lh_durable.Store.open_dir dir in
+      let svc = Serve.create ~store eng in
+      let ingest i =
+        allocated (fun () ->
+            ingest_ok svc ~name:"probe" ~schema [ [ Dtype.VInt i; Dtype.VFloat 1.0 ] ])
+      in
+      let ingest = List.fold_left Float.min Float.infinity (List.init 3 ingest) in
+      Serve.close svc;
+      (Lh_storage.Dict.size (Engine.dict eng), snapshot, ingest))
+
+let test_epoch_cost_flat () =
+  let small_n, small_snap, small_ingest = epoch_costs 0.002 in
+  let large_n, large_snap, large_ingest = epoch_costs 0.05 in
+  Alcotest.(check bool)
+    (Printf.sprintf "dictionaries differ (%d vs %d entries)" small_n large_n)
+    true (large_n > 10 * small_n);
+  let flat what a b =
+    if Float.max a b > 1.5 *. Float.min a b then
+      Alcotest.failf "%s: Gc.allocated_bytes grew by %.0f at %d entries but by %.0f at %d" what a
+        small_n b large_n
+  in
+  flat "Engine.snapshot" small_snap large_snap;
+  flat "a 1-row durable ingest" small_ingest large_ingest
+
 let () =
   Alcotest.run "lh_serve"
     [
@@ -361,6 +593,20 @@ let () =
           Alcotest.test_case "reader races ingest" `Quick test_concurrent_reader_vs_ingest;
         ] );
       ("interleavings", [ qcheck_interleavings ]);
+      ( "shared-cache",
+        [
+          Alcotest.test_case "unrelated ingest stays warm" `Quick test_unrelated_ingest_stays_warm;
+          Alcotest.test_case "joined ingest misses" `Quick test_joined_ingest_misses;
+          Alcotest.test_case "single-flight builds" `Quick test_single_flight;
+          Alcotest.test_case "cache follows live versions" `Quick
+            test_cache_follows_live_versions;
+        ] );
+      ( "isolation",
+        [
+          Alcotest.test_case "forked writer" `Quick test_forked_writer_isolated;
+          Alcotest.test_case "failed publish rolls back" `Quick test_failed_publish_rolls_back;
+          Alcotest.test_case "epoch cost flat in dictionary size" `Slow test_epoch_cost_flat;
+        ] );
       ( "pool-jobs",
         [
           Alcotest.test_case "group round-robin" `Quick test_pool_submit_fairness;

@@ -61,6 +61,69 @@ let qcheck_dict_roundtrip =
       let codes = List.map (Dict.encode d) strings in
       List.for_all2 (fun s c -> String.equal (Dict.decode d c) s) strings codes)
 
+(* A frozen handle sees exactly the prefix it was frozen at, whatever the
+   owner appends afterwards. *)
+let test_dict_freeze_prefix () =
+  let d = Dict.create () in
+  let a = Dict.encode d "alpha" and b = Dict.encode d "beta" in
+  let f = Dict.freeze d in
+  for i = 0 to 99 do
+    ignore (Dict.encode d (Printf.sprintf "later%d" i))
+  done;
+  Alcotest.(check int) "frozen size" 2 (Dict.size f);
+  Alcotest.(check int) "owner size" 102 (Dict.size d);
+  Alcotest.(check string) "frozen decode" "beta" (Dict.decode f b);
+  Alcotest.(check (option int)) "frozen find known" (Some a) (Dict.find f "alpha");
+  Alcotest.(check (option int)) "owner's later string invisible" None (Dict.find f "later5");
+  Alcotest.check_raises "later code undecodable" (Invalid_argument "Dict.decode: unknown code 2")
+    (fun () -> ignore (Dict.decode f 2))
+
+(* Encoding into a frozen handle: known strings keep their codes and add
+   nothing; the first new string forks a private pool, leaving the
+   owner's untouched. *)
+let test_dict_fork_on_new_string () =
+  let d = Dict.create () in
+  let a = Dict.encode d "alpha" in
+  ignore (Dict.encode d "beta");
+  let f = Dict.freeze d in
+  Alcotest.(check int) "known string, same code" a (Dict.encode f "alpha");
+  Alcotest.(check int) "no growth on known strings" 2 (Dict.size f);
+  let g = Dict.encode f "gamma" in
+  Alcotest.(check int) "next code in the fork" 2 g;
+  Alcotest.(check int) "owner unchanged" 2 (Dict.size d);
+  Alcotest.(check (option int)) "owner never sees the fork's string" None (Dict.find d "gamma");
+  (* the owner's own next string takes the same code, independently *)
+  Alcotest.(check int) "owner's next code" 2 (Dict.encode d "delta");
+  Alcotest.(check string) "fork decode" "gamma" (Dict.decode f g);
+  Alcotest.(check string) "owner decode" "delta" (Dict.decode d 2);
+  Alcotest.(check (option int)) "fork does not see the owner's" None (Dict.find f "delta")
+
+(* A reader domain looking strings up through a frozen handle while the
+   owner keeps inserting (and resizing its index) always gets the frozen
+   answers. *)
+let test_dict_find_races_owner () =
+  let d = Dict.create () in
+  let known = Array.init 500 (fun i -> Printf.sprintf "k%d" i) in
+  Array.iter (fun s -> ignore (Dict.encode d s)) known;
+  let f = Dict.freeze d in
+  let stop = Atomic.make false in
+  let reader =
+    Domain.spawn (fun () ->
+        let bad = ref 0 and rounds = ref 0 in
+        while (not (Atomic.get stop)) || !rounds = 0 do
+          Array.iteri (fun i s -> if Dict.find f s <> Some i then incr bad) known;
+          if Dict.find f "n17" <> None then incr bad;
+          incr rounds
+        done;
+        !bad)
+  in
+  for i = 0 to 49_999 do
+    ignore (Dict.encode d (Printf.sprintf "n%d" i))
+  done;
+  Atomic.set stop true;
+  Alcotest.(check int) "reader saw only the frozen prefix" 0 (Domain.join reader);
+  Alcotest.(check int) "owner has everything" 50_500 (Dict.size d)
+
 (* ---- schema ---- *)
 
 let test_schema_basics () =
@@ -296,7 +359,13 @@ let () =
           qcheck_date_monotone;
         ] );
       ( "dict",
-        [ Alcotest.test_case "encode/decode" `Quick test_dict_encode_decode; qcheck_dict_roundtrip ]
+        [
+          Alcotest.test_case "encode/decode" `Quick test_dict_encode_decode;
+          qcheck_dict_roundtrip;
+          Alcotest.test_case "freeze sees its prefix" `Quick test_dict_freeze_prefix;
+          Alcotest.test_case "fork on first new string" `Quick test_dict_fork_on_new_string;
+          Alcotest.test_case "frozen find races owner inserts" `Quick test_dict_find_races_owner;
+        ]
       );
       ( "schema",
         [
